@@ -12,13 +12,15 @@ namespace {
 /// Per-query buffers of the lockstep loop, allocated once per
 /// run_ssppr_batch call and recycled every round. The cross-query union,
 /// cache splits, and RPCs all live in the shared FetchPipeline; this only
-/// keeps each query's popped frontier and its per-shard group positions.
+/// keeps each query's popped frontier, its per-shard group positions, and
+/// the gather buffers of its push calls.
 struct BatchScratch {
   BatchScratch(std::size_t num_queries, std::size_t num_shards)
       : node_ids(num_queries),
         shard_ids(num_queries),
         groups(num_queries,
-               std::vector<std::vector<std::size_t>>(num_shards)) {}
+               std::vector<std::vector<std::size_t>>(num_shards)),
+        push(num_queries) {}
 
   void begin_round(std::size_t num_queries) {
     for (std::size_t q = 0; q < num_queries; ++q) {
@@ -26,12 +28,39 @@ struct BatchScratch {
     }
   }
 
+  // One push call's rows; cleared after every call, so only the capacity
+  // survives across rounds.
+  struct PushBuffers {
+    std::vector<VertexProp> infos;
+    std::vector<NodeId> loc;
+    std::vector<ShardId> shv;
+  };
+
   // Per query: this round's popped frontier and, per shard, the positions
-  // (into node_ids[q]) of the frontier nodes living on that shard.
+  // (into node_ids[q]) of the frontier nodes living on that shard. One
+  // PushBuffers per query keeps the OpenMP fan-out free of sharing.
   std::vector<std::vector<NodeId>> node_ids;
   std::vector<std::vector<ShardId>> shard_ids;
   std::vector<std::vector<std::vector<std::size_t>>> groups;
+  std::vector<PushBuffers> push;
 };
+
+/// Run `fn(q)` for every query, spread over `threads` OpenMP threads when
+/// more than one (states are disjoint, so the order does not matter).
+template <typename Fn>
+void for_each_query(std::size_t nq, int threads, const Fn& fn) {
+#ifdef _OPENMP
+  if (threads > 1) {
+#pragma omp parallel for num_threads(threads) schedule(dynamic)
+    for (std::int64_t q = 0; q < static_cast<std::int64_t>(nq); ++q) {
+      fn(static_cast<std::size_t>(q));
+    }
+    return;
+  }
+#endif
+  (void)threads;
+  for (std::size_t q = 0; q < nq; ++q) fn(q);
+}
 
 }  // namespace
 
@@ -98,77 +127,62 @@ BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
       }
     }
 
-    // --- One pipeline round resolves the whole union: halo/adjacency
-    // splits, at most one RPC per remote shard, self-shard rows through
-    // shared memory while responses are in flight.
-    pipeline.execute({options.compress, options.overlap, options.codec}, &t);
-
     // --- Per-query push fan-out, replaying the single-query driver's ---
     // push-call structure exactly (own shard, then halo hits per remote
     // shard ascending, then the non-halo rest) so results stay
     // bit-identical to independent runs.
-    const auto push_query = [&](std::size_t q) {
+    // push_group: one push call of query q's shard-j rows; halo_filter -1
+    // takes the whole group, 0/1 only rows whose halo provenance matches.
+    const auto push_group = [&](std::size_t q, std::size_t j,
+                                int halo_filter) {
+      const auto shard = static_cast<ShardId>(j);
       const auto& nids = scratch.node_ids[q];
-      if (nids.empty()) return;
-      std::vector<VertexProp> infos;
-      std::vector<NodeId> loc;
-      std::vector<ShardId> shv;
-      const auto flush = [&] {
-        if (loc.empty()) return;
-        states[q].push(infos, loc, shv);
-        infos.clear();
-        loc.clear();
-        shv.clear();
-      };
-      // halo_filter: -1 takes the whole group, 0/1 only rows whose
-      // halo provenance matches.
-      const auto gather = [&](std::size_t j, int halo_filter) {
-        const auto shard = static_cast<ShardId>(j);
-        for (const std::size_t i : scratch.groups[q][j]) {
-          const NodeId local = nids[i];
-          const std::uint32_t row = pipeline.row_of(shard, local);
-          if (halo_filter >= 0) {
-            const bool is_halo =
-                pipeline.source(shard, row) == RowSource::kHalo;
-            if (static_cast<int>(is_halo) != halo_filter) continue;
-          }
-          infos.push_back(pipeline.row(shard, row));
-          loc.push_back(local);
-          shv.push_back(shard);
+      auto& buf = scratch.push[q];
+      for (const std::size_t i : scratch.groups[q][j]) {
+        const NodeId local = nids[i];
+        const std::uint32_t row = pipeline.row_of(shard, local);
+        if (halo_filter >= 0) {
+          const bool is_halo = pipeline.source(shard, row) == RowSource::kHalo;
+          if (static_cast<int>(is_halo) != halo_filter) continue;
         }
-      };
-      const auto self_idx = static_cast<std::size_t>(self);
-      gather(self_idx, -1);
-      flush();
-      for (std::size_t j = 0; j < ns; ++j) {
-        if (j == self_idx || scratch.groups[q][j].empty()) continue;
-        gather(j, 1);
-        flush();
+        buf.infos.push_back(pipeline.row(shard, row));
+        buf.loc.push_back(local);
+        buf.shv.push_back(shard);
       }
+      if (buf.loc.empty()) return;
+      states[q].push(buf.infos, buf.loc, buf.shv);
+      buf.infos.clear();
+      buf.loc.clear();
+      buf.shv.clear();
+    };
+    const auto self_idx = static_cast<std::size_t>(self);
+    // Own shard and halo hits only need rows resolved before the RPCs
+    // return, so they run inside the overlap hook.
+    const auto push_early = [&](std::size_t q) {
+      push_group(q, self_idx, -1);
       for (std::size_t j = 0; j < ns; ++j) {
-        if (j == self_idx || scratch.groups[q][j].empty()) continue;
-        gather(j, 0);
-        flush();
+        if (j != self_idx) push_group(q, j, 1);
       }
     };
-
-    {
-      ScopedPhase phase(t, Phase::kPush);
-      const int qt = std::max(
-          1, std::min(options.query_threads, static_cast<int>(nq)));
-      if (qt > 1) {
-#ifdef _OPENMP
-#pragma omp parallel for num_threads(qt) schedule(dynamic)
-        for (std::int64_t q = 0; q < static_cast<std::int64_t>(nq); ++q) {
-          push_query(static_cast<std::size_t>(q));
-        }
-#else
-        for (std::size_t q = 0; q < nq; ++q) push_query(q);
-#endif
-      } else {
-        for (std::size_t q = 0; q < nq; ++q) push_query(q);
+    const auto push_late = [&](std::size_t q) {
+      for (std::size_t j = 0; j < ns; ++j) {
+        if (j != self_idx) push_group(q, j, 0);
       }
-    }
+    };
+    const int qt =
+        std::max(1, std::min(options.query_threads, static_cast<int>(nq)));
+    const auto fan_out = [&](const auto& part) {
+      ScopedPhase phase(t, Phase::kPush);
+      for_each_query(nq, qt, part);
+    };
+
+    // --- One pipeline round resolves the whole union: halo/adjacency
+    // splits and at most one RPC per remote shard; self-shard rows come
+    // through shared memory and the early pushes run while responses are
+    // in flight, the rest once they have arrived.
+    pipeline.execute({options.compress, options.overlap, options.codec}, &t,
+                     [&] { fan_out(push_early); });
+    fan_out(push_late);
   }
 
   for (const SspprState& s : states) stats.num_pushes += s.num_pushes();

@@ -33,8 +33,11 @@ struct BatchRunStats {
 /// push results are bit-identical to running each query alone through
 /// run_ssppr with the same options: the fan-out replays each query's
 /// per-shard push-call structure exactly, only the fetches are shared.
-/// `options.query_threads > 1` spreads the push fan-out across queries
-/// with OpenMP (states are disjoint, so this stays deterministic).
+/// Every query's own-shard and halo-hit pushes run in the fetch
+/// pipeline's overlap hook (while the round's RPCs are in flight under
+/// `options.overlap`), the rest after the responses arrived.
+/// `options.query_threads > 1` spreads both parts of the fan-out across
+/// queries with OpenMP (states are disjoint, so this stays deterministic).
 BatchRunStats run_ssppr_batch(const DistGraphStorage& storage,
                               std::span<SspprState> states,
                               const DriverOptions& options = {},

@@ -201,16 +201,13 @@ void SspprState::pop(std::vector<NodeId>& node_ids,
   last_density_ = dense_capable() ? static_cast<double>(fsz) /
                                         static_cast<double>(universe_)
                                   : 0.0;
-  // The round boundary: switch representation for the coming push round.
-  // An empty frontier means the query is over — never switch on it.
-  if (options_.kernel == SspprKernel::kAdaptive && dense_capable() &&
-      fsz != 0) {
-    if (!dense_ && last_density_ >= options_.dense_threshold) {
-      promote_to_dense();
-    } else if (dense_ && last_density_ <
-                             options_.dense_threshold * kDemoteHysteresis) {
-      demote_to_sparse();
-    }
+  // The round boundary: promote for the coming push round once the
+  // frontier is dense enough. A promoted state stays dense until the query
+  // ends — a dense round costs O(frontier·deg) like a sparse one, so
+  // demoting would buy nothing and re-insert every slot into the maps.
+  if (options_.kernel == SspprKernel::kAdaptive && !dense_ &&
+      dense_capable() && last_density_ >= options_.dense_threshold) {
+    promote_to_dense();
   }
   record_pop_metrics();
   node_ids.resize(fsz);

@@ -15,13 +15,15 @@
 //     vectorizes (common/simd.hpp).
 //
 // The adaptive kernel (default) measures frontier density at every pop()
-// and promotes/demotes between the two with an exact, loss-free copy, so
-// results are bit-identical under ANY switch schedule: both modes apply
-// the same IEEE operations in the same (i, k) scan order, activation
-// append order is preserved, and promotion/demotion moves values without
-// arithmetic. The dense representation needs the cluster's shard sizes —
-// bind_topology() / SspprOptions::shard_core_counts; without a topology
-// the adaptive kernel simply stays sparse.
+// and promotes once to dense, with an exact, loss-free copy, when the
+// density first reaches dense_threshold; the state then stays dense until
+// the query ends. Results are bit-identical under ANY switch schedule
+// (the explicit promote_to_dense()/demote_to_sparse() calls included):
+// both modes apply the same IEEE operations in the same (i, k) scan
+// order, activation append order is preserved, and promotion/demotion
+// moves values without arithmetic. The dense representation needs the
+// cluster's shard sizes — bind_topology() / SspprOptions::
+// shard_core_counts; without a topology the adaptive kernel stays sparse.
 //
 // Batched pushes above a size threshold run multi-threaded with the
 // lock-free submap-partitioning scheme (each OpenMP thread exclusively
@@ -60,22 +62,17 @@ struct SspprOptions {
   int submap_bits = 6;       // 2^bits submaps per hash map
   /// Push-loop representation policy (see SspprKernel).
   SspprKernel kernel = SspprKernel::kAdaptive;
-  /// Adaptive switch point: promote to dense when frontier density
-  /// (|activated| / Σ shard_core_counts) reaches this; demote back to
-  /// sparse below dense_threshold * kDemoteHysteresis. The default sits
-  /// below the measured sparse/dense crossover (bench_kernel_density) so
-  /// the dense kernel captures most of its win while promote/demote churn
-  /// on near-empty frontiers stays impossible.
+  /// Adaptive switch point: promote to dense the first time frontier
+  /// density (|activated| / Σ shard_core_counts) reaches this; the state
+  /// never demotes afterwards. The default sits below the measured
+  /// sparse/dense crossover (bench_kernel_density) so the dense kernel
+  /// captures most of its win.
   double dense_threshold = 0.005;
   /// Core-node count per shard (the dense layout). Usually filled by the
   /// engine from the cluster mapping; empty = no topology bound, dense
   /// unavailable.
   std::vector<NodeId> shard_core_counts{};
 };
-
-/// Hysteresis factor between the promote and demote thresholds, so a
-/// density hovering at the switch point doesn't thrash representations.
-inline constexpr double kDemoteHysteresis = 0.25;
 
 /// Per-node residual entry. in_frontier doubles as activated-set
 /// membership so frontier insertion is one submap access.
@@ -111,7 +108,7 @@ class SspprState {
   /// PPR Op 1 — pop: return the current activated vertex set and clear it.
   /// Every returned node MUST be fed to push() before the next pop.
   /// This is the adaptive kernel's decision point: frontier density is
-  /// measured here and the representation switched for the coming round.
+  /// measured here and a sparse state promoted for the coming round.
   void pop(std::vector<NodeId>& node_ids, std::vector<ShardId>& shard_ids);
 
   /// PPR Op 2 — push: apply one forward-push step to each source node
@@ -131,6 +128,8 @@ class SspprState {
   /// bitwise, no arithmetic. Only legal at a round boundary (between a
   /// completed push group and the next pop). promote requires a bound
   /// topology; both are no-ops when already in the target representation.
+  /// The adaptive kernel only ever promotes; demote_to_sparse() is for
+  /// explicit callers.
   void promote_to_dense();
   void demote_to_sparse();
 

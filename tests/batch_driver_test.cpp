@@ -87,6 +87,7 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
     bool overlap;
     WireCodec codec = WireCodec::kFlat;
     SspprKernel kernel = SspprKernel::kSparse;
+    int query_threads = 1;
   };
   std::vector<Config> configs;
   for (const std::size_t cache_rows : {std::size_t{0}, std::size_t{256}}) {
@@ -104,7 +105,7 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
   configs.push_back({false, 0, true, true, WireCodec::kDeltaVarint});
   configs.push_back({true, 256, true, true, WireCodec::kDeltaVarint});
   // The push-kernel representation must be invisible too: adaptive (with
-  // a threshold low enough to flip mid-query) and always-dense rows,
+  // a threshold low enough to promote mid-query) and always-dense rows,
   // composed with the varint codec and both caches.
   configs.push_back({false, 0, true, true, WireCodec::kFlat,
                      SspprKernel::kAdaptive});
@@ -112,19 +113,28 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
                      SspprKernel::kAdaptive});
   configs.push_back({false, 0, true, true, WireCodec::kDeltaVarint,
                      SspprKernel::kDense});
+  // The OpenMP fan-out of the early (own-shard + halo, inside the overlap
+  // hook) and late pushes must match the serial reference, with the hook
+  // running both before and after the responses arrived.
+  for (const bool overlap : {false, true}) {
+    configs.push_back({true, 0, true, overlap, WireCodec::kFlat,
+                       SspprKernel::kAdaptive, 4});
+  }
 
   for (const Config& cfg : configs) {
     SCOPED_TRACE(::testing::Message()
                  << "halo=" << cfg.halo << " cache=" << cfg.cache_rows
                  << " compress=" << cfg.compress << " overlap=" << cfg.overlap
                  << " codec=" << wire_codec_name(cfg.codec)
-                 << " kernel=" << kernel_name(cfg.kernel));
+                 << " kernel=" << kernel_name(cfg.kernel)
+                 << " query_threads=" << cfg.query_threads);
     auto cluster = make_cluster(cfg.halo, cfg.cache_rows);
-    const DriverOptions driver{true, cfg.compress, cfg.overlap, cfg.codec};
+    DriverOptions driver{true, cfg.compress, cfg.overlap, cfg.codec};
+    driver.query_threads = cfg.query_threads;
     const auto sources = pick_sources(*cluster, kMachine, kQueries);
     SspprOptions query_opts = ppr;
     query_opts.kernel = cfg.kernel;
-    query_opts.dense_threshold = 0.005;  // flip adaptive states mid-query
+    query_opts.dense_threshold = 0.005;  // promote adaptive states mid-query
     if (cfg.kernel != SspprKernel::kSparse) {
       for (int m = 0; m < cluster->num_machines(); ++m) {
         query_opts.shard_core_counts.push_back(
@@ -170,6 +180,43 @@ TEST_F(BatchDriverFixture, BatchedResultsBitIdenticalToIndependentRuns) {
       for (std::size_t q = 0; q < kQueries; ++q) {
         states[q].reset(sources[q]);
       }
+    }
+  }
+}
+
+TEST_F(BatchDriverFixture, AllAdaptiveStatesPromoteAndEndDense) {
+  // A threshold below one node of the universe promotes every state on
+  // its first round; promotion is once-only, so every state ends dense
+  // and still matches its sparse run alone bit for bit.
+  auto cluster = make_cluster(true, 0);
+  const SspprOptions ppr{.alpha = kAlpha, .epsilon = 1e-6};
+  SspprOptions adaptive = ppr;
+  adaptive.kernel = SspprKernel::kAdaptive;
+  adaptive.dense_threshold = 1e-4;
+  for (int m = 0; m < cluster->num_machines(); ++m) {
+    adaptive.shard_core_counts.push_back(
+        static_cast<NodeId>(cluster->shard(m).num_core_nodes()));
+  }
+  const auto sources = pick_sources(*cluster, 1, 6);
+  for (const int query_threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "query_threads=" << query_threads);
+    DriverOptions driver{};
+    driver.query_threads = query_threads;
+    std::vector<SspprState> states;
+    states.reserve(sources.size());
+    for (const NodeRef src : sources) states.emplace_back(src, adaptive);
+    run_ssppr_batch(cluster->storage(1), states, driver);
+    for (std::size_t q = 0; q < sources.size(); ++q) {
+      SCOPED_TRACE(::testing::Message() << "query " << q);
+      EXPECT_EQ(states[q].promotions(), 1u);
+      EXPECT_EQ(states[q].demotions(), 0u);
+      EXPECT_TRUE(states[q].dense_active());
+      const SspprState ref =
+          compute_ssppr(cluster->storage(1), sources[q], ppr, driver);
+      expect_identical(sorted_ppr(states[q]), sorted_ppr(ref), "ppr");
+      expect_identical(sorted_residuals(states[q]), sorted_residuals(ref),
+                       "residual");
+      EXPECT_EQ(states[q].num_pushes(), ref.num_pushes());
     }
   }
 }

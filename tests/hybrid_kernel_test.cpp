@@ -127,8 +127,8 @@ TEST_F(HybridKernelFixture, EqualityMatrixBitIdentical) {
     for (const WireCodec codec :
          {WireCodec::kFlat, WireCodec::kDeltaVarint}) {
       cases.push_back({SspprKernel::kSparse, codec, 0.02});
-      // 0.9: adaptive never promotes. 0.02: flips mid-query. 1e-4:
-      // promotes on round one and demotes only when nearly drained.
+      // 0.9: adaptive never promotes. 0.02: promotes mid-query. 1e-4:
+      // promotes on round one.
       for (const double threshold : {0.9, 0.02, 1e-4}) {
         cases.push_back({SspprKernel::kDense, codec, threshold});
         cases.push_back({SspprKernel::kAdaptive, codec, threshold});
@@ -149,19 +149,19 @@ TEST_F(HybridKernelFixture, EqualityMatrixBitIdentical) {
 }
 
 TEST_F(HybridKernelFixture, AdaptiveActuallySwitchesMidQuery) {
-  // A tiny threshold promotes on the first non-empty round; its demote
-  // point (threshold/4 of the universe) is below one node, so the state
+  // A tiny threshold promotes on the first non-empty round, and the state
   // rides dense to the end.
   const SspprState state = run(opts(SspprKernel::kAdaptive, 1, 1e-4));
   EXPECT_EQ(state.promotions(), 1u);
   EXPECT_EQ(state.demotions(), 0u);
   EXPECT_TRUE(state.dense_active());
-  // A 5% threshold flips both ways on this workload: the frontier swells
-  // past 5% of the universe mid-query and drains below 1.25% (the
-  // hysteresis point) before emptying.
+  // A 5% threshold promotes mid-query on this workload: the frontier
+  // swells past 5% of the universe. Promotion is once-only, so the state
+  // stays dense while the frontier drains and empties.
   const SspprState flips = run(opts(SspprKernel::kAdaptive, 1, 0.05));
   EXPECT_GE(flips.promotions(), 1u);
-  EXPECT_GE(flips.demotions(), 1u);
+  EXPECT_EQ(flips.demotions(), 0u);
+  EXPECT_TRUE(flips.dense_active());
   // A threshold above any reachable density never promotes.
   const SspprState never = run(opts(SspprKernel::kAdaptive, 1, 0.9));
   EXPECT_EQ(never.promotions(), 0u);

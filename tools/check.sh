@@ -48,6 +48,11 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       echo "=== ${SANITIZER}: hybrid_kernel_test (GE_FORCE_SCALAR off/on) ==="
       "${BUILD}/tests/hybrid_kernel_test" --gtest_brief=1
       GE_FORCE_SCALAR=1 "${BUILD}/tests/hybrid_kernel_test" --gtest_brief=1
+      # The batch driver pushes its own-shard and halo rows while the
+      # round's RPC responses are in flight on the transport's delivery
+      # threads; run it alone so TSan checks that interleaving by itself.
+      echo "=== ${SANITIZER}: batch_driver_test (pushes overlap RPCs) ==="
+      "${BUILD}/tests/batch_driver_test" --gtest_brief=1
       # Versioned storage plane: run the concurrent mutate+query case
       # alone under TSan — a mutator thread lands batches and compacts
       # mid-stream while pinned snapshot reads race the generation swaps
