@@ -4,8 +4,7 @@
 
 namespace ppr {
 
-ThreadPool::ThreadPool(std::size_t num_threads, std::size_t max_queued)
-    : max_queued_(max_queued) {
+ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {

@@ -6,9 +6,7 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <limits>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -16,12 +14,7 @@ namespace ppr {
 
 class ThreadPool {
  public:
-  /// `max_queued` bounds the number of tasks waiting for a worker (tasks
-  /// already running don't count). Only try_submit() honors the bound;
-  /// submit() always enqueues.
-  explicit ThreadPool(std::size_t num_threads,
-                      std::size_t max_queued =
-                          std::numeric_limits<std::size_t>::max());
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -42,45 +35,15 @@ class ThreadPool {
     return fut;
   }
 
-  /// Non-blocking bounded enqueue: refuses (returns nullopt, task not
-  /// queued) when `max_queued` tasks are already waiting. The explicit
-  /// reject is what backpressure paths need — a caller that gets nullopt
-  /// sheds load instead of growing the queue without bound. The capacity
-  /// check happens before the task is constructed, so a reject performs
-  /// no allocation and leaves `f` unmoved — callers may retry with the
-  /// same callable (even after passing it by std::move).
-  template <typename F>
-  auto try_submit(F&& f)
-      -> std::optional<std::future<std::invoke_result_t<F>>> {
-    using R = std::invoke_result_t<F>;
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (stop_ || queue_.size() >= max_queued_) return std::nullopt;
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    queue_.emplace_back([task] { (*task)(); });
-    lock.unlock();
-    cv_.notify_one();
-    return fut;
-  }
-
   std::size_t size() const { return workers_.size(); }
-  std::size_t max_queued() const { return max_queued_; }
-
-  /// Tasks currently waiting for a worker (racy snapshot).
-  std::size_t queued() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-  }
 
  private:
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
-  std::size_t max_queued_;
   bool stop_ = false;
 };
 

@@ -25,6 +25,21 @@ void record_query_span(const PendingQuery& q,
                                     q.trace.span_id, 0, q.enqueue_time, end);
 }
 
+/// Resolve queries swept out of the queue as TIMED_OUT (never executed).
+void resolve_timed_out(std::vector<PendingQuery>& expired,
+                       ServiceStats& stats) {
+  for (PendingQuery& q : expired) {
+    stats.on_timed_out();
+    const auto now = std::chrono::steady_clock::now();
+    QueryResult r;
+    r.status = QueryStatus::kTimedOut;
+    r.source = q.source;
+    r.e2e_us = micros_between(q.enqueue_time, now);
+    record_query_span(q, now);
+    q.promise.set_value(std::move(r));
+  }
+}
+
 }  // namespace
 
 MachineScheduler::MachineScheduler(const DistGraphStorage& storage,
@@ -34,26 +49,36 @@ MachineScheduler::MachineScheduler(const DistGraphStorage& storage,
       options_(options),
       stats_(stats),
       pool_(options.ppr),
-      paused_(options.start_paused),
-      executors_(static_cast<std::size_t>(
-                     std::max(1, options.executors_per_machine)),
-                 std::max<std::size_t>(1, options.max_pending_batches)) {
+      hold_(std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double, std::micro>(
+              options.max_batch_delay_us))),
+      paused_(options.start_paused) {
   GE_REQUIRE(options.max_queue >= 1, "max_queue must be >= 1");
   GE_REQUIRE(options.max_batch_size >= 1, "max_batch_size must be >= 1");
   GE_REQUIRE(options.max_batch_delay_us >= 0,
              "max_batch_delay_us must be >= 0");
-  dispatcher_ = std::thread([this] { dispatcher_loop(); });
+  const int n = std::max(1, options.executors_per_machine);
+  executors_.reserve(static_cast<std::size_t>(n));
+  try {
+    for (int i = 0; i < n; ++i) {
+      executors_.emplace_back([this] { executor_loop(); });
+    }
+  } catch (...) {
+    stop_executors();  // join the ones already started
+    throw;
+  }
 }
 
-MachineScheduler::~MachineScheduler() {
+MachineScheduler::~MachineScheduler() { stop_executors(); }
+
+void MachineScheduler::stop_executors() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stop_ = true;
     paused_ = false;  // a paused scheduler still flushes on shutdown
   }
   work_cv_.notify_all();
-  dispatcher_.join();
-  // ~ThreadPool runs any batches still queued, completing their promises.
+  for (std::thread& t : executors_) t.join();
 }
 
 bool MachineScheduler::try_enqueue(PendingQuery&& q) {
@@ -102,118 +127,72 @@ void MachineScheduler::sweep_expired_locked(
   }
 }
 
-void MachineScheduler::dispatcher_loop() {
-  const auto delay = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::micro>(options_.max_batch_delay_us));
+void MachineScheduler::executor_loop() {
   for (;;) {
     std::vector<PendingQuery> expired;
     std::vector<PendingQuery> batch;
-    Clock::time_point oldest{};
+    Clock::time_point start{};
+    bool exit = false;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      // Idle / paused wait. While paused with queries still queued, the
-      // wait is capped at the earliest per-query deadline so timeouts
-      // fire on time even though batch formation is suspended.
       for (;;) {
-        if (stop_ || (!paused_ && !queue_.empty())) break;
         sweep_expired_locked(expired);
-        if (!expired.empty()) break;
         if (queue_.empty()) {
+          if (stop_) {
+            exit = true;
+            break;
+          }
+        } else if (!paused_) {
+          // Free executor, queued work: take it now unless holding was
+          // asked for and the batch is neither full nor past its hold.
+          // Shutdown ignores the hold so no promise is abandoned.
+          start = Clock::now();
+          if (stop_ || queue_.size() >= options_.max_batch_size ||
+              start >= queue_.front().enqueue_time + hold_) {
+            const std::size_t take =
+                std::min(queue_.size(), options_.max_batch_size);
+            batch.reserve(take);
+            for (std::size_t i = 0; i < take; ++i) {
+              batch.push_back(std::move(queue_.front()));
+              queue_.pop_front();
+            }
+            ++inflight_batches_;
+            break;
+          }
+        }
+        if (!expired.empty()) break;  // resolve them before sleeping
+        // Sleep until an arrival, resume() or shutdown, capped at the
+        // earliest queued deadline and, while holding, at the oldest
+        // query's hold expiry.
+        auto wake = Clock::time_point::max();
+        for (const PendingQuery& q : queue_) wake = std::min(wake, q.deadline);
+        if (!paused_ && !queue_.empty()) {
+          wake = std::min(wake, queue_.front().enqueue_time + hold_);
+        }
+        if (wake == Clock::time_point::max()) {
           work_cv_.wait(lock);
         } else {
-          auto wake = queue_.front().deadline;
-          for (const PendingQuery& q : queue_) {
-            wake = std::min(wake, q.deadline);
-          }
           work_cv_.wait_until(lock, wake);
         }
-      }
-      if (stop_ && queue_.empty()) break;
-      if (!stop_) {
-        sweep_expired_locked(expired);
-        // Wait for the batch to fill, but never past the oldest query's
-        // batch-delay deadline nor past the earliest per-query deadline.
-        while (!stop_ && !paused_ && !queue_.empty() &&
-               queue_.size() < options_.max_batch_size) {
-          auto wake = queue_.front().enqueue_time + delay;
-          for (const PendingQuery& q : queue_) {
-            wake = std::min(wake, q.deadline);
-          }
-          if (Clock::now() >= wake) break;
-          work_cv_.wait_until(lock, wake);
-          sweep_expired_locked(expired);
-        }
-        if (paused_ && !stop_) {
-          // Timeouts resolved below; batch formation resumes on resume().
-          lock.unlock();
-          for (PendingQuery& q : expired) {
-            stats_.on_timed_out();
-            QueryResult r;
-            r.status = QueryStatus::kTimedOut;
-            r.source = q.source;
-            r.e2e_us = micros_between(q.enqueue_time, Clock::now());
-            record_query_span(q, Clock::now());
-            q.promise.set_value(std::move(r));
-          }
-          continue;
-        }
-      }
-      // Form the batch (shutdown flushes everything left, ignoring the
-      // delay knob so no promise is abandoned).
-      const std::size_t take =
-          stop_ ? queue_.size()
-                : std::min(queue_.size(), options_.max_batch_size);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (!batch.empty()) {
-        oldest = batch.front().enqueue_time;
-        for (const PendingQuery& q : batch) {
-          oldest = std::min(oldest, q.enqueue_time);
-        }
-        ++inflight_batches_;
       }
       if (queue_.empty()) idle_cv_.notify_all();
     }
-
-    for (PendingQuery& q : expired) {
-      stats_.on_timed_out();
-      QueryResult r;
-      r.status = QueryStatus::kTimedOut;
-      r.source = q.source;
-      r.e2e_us = micros_between(q.enqueue_time, Clock::now());
-      record_query_span(q, Clock::now());
-      q.promise.set_value(std::move(r));
-    }
-    if (batch.empty()) continue;
-
-    const auto dispatch_time = Clock::now();
-    stats_.on_batch(batch.size(), micros_between(oldest, dispatch_time));
-    auto job = [this, b = std::move(batch), oldest, dispatch_time]() mutable {
-      execute_batch(std::move(b), oldest, dispatch_time);
-    };
-    // Bounded handoff to the executors: when max_pending_batches batches
-    // are already waiting, hold the batch here until a slot frees up —
-    // the admission queue keeps absorbing (and eventually rejecting)
-    // arrivals in the meantime. try_submit leaves `job` untouched on a
-    // reject, so moving it is safe across retries.
-    for (;;) {
-      if (executors_.try_submit(std::move(job))) break;
-      std::unique_lock<std::mutex> lock(mutex_);
-      idle_cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-        return executors_.queued() < executors_.max_queued();
-      });
-    }
+    resolve_timed_out(expired, stats_);
+    if (!batch.empty()) execute_batch(std::move(batch), start);
+    if (exit) return;
   }
 }
 
 void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
-                                     Clock::time_point /*oldest*/,
-                                     Clock::time_point dispatch_time) {
+                                     Clock::time_point start) {
   std::vector<NodeRef> sources;
   sources.reserve(batch.size());
-  for (const PendingQuery& q : batch) sources.push_back(q.source);
+  Clock::time_point oldest = batch.front().enqueue_time;
+  for (const PendingQuery& q : batch) {
+    sources.push_back(q.source);
+    oldest = std::min(oldest, q.enqueue_time);
+  }
+  stats_.on_batch(batch.size(), micros_between(oldest, start));
 
   // Per-query queue-wait spans, recorded retroactively now that the wait
   // is over. Each parents onto its query's root span.
@@ -221,7 +200,7 @@ void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
     if (!q.trace.active()) continue;
     obs::Tracer::global().record_span("serve.queue_wait", q.trace.trace_id,
                                       obs::next_span_id(), q.trace.span_id,
-                                      q.enqueue_time, dispatch_time);
+                                      q.enqueue_time, start);
   }
   // The batch executes once for all members; its span lives in the first
   // traced member's trace (nested under that query's root span), and every
@@ -247,7 +226,6 @@ void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
     }
   }
 
-  QueryResult error_result;
   std::string error;
   std::vector<QueryResult> results(batch.size());
   try {
@@ -268,7 +246,7 @@ void MachineScheduler::execute_batch(std::vector<PendingQuery> batch,
       if (options_.collect_entries) r.ppr = states[i].ppr_entries();
       r.num_pushes = states[i].num_pushes();
       r.batch_size = batch.size();
-      r.queue_wait_us = micros_between(batch[i].enqueue_time, dispatch_time);
+      r.queue_wait_us = micros_between(batch[i].enqueue_time, start);
       r.execute_us = execute_us;
     }
   } catch (const std::exception& e) {

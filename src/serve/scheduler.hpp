@@ -1,43 +1,46 @@
-// Per-machine admission queue + adaptive micro-batching scheduler.
+// Per-machine admission queue + work-conserving micro-batching scheduler.
 //
 // Each machine of the cluster gets one MachineScheduler (owner-compute
 // rule: a query runs on the machine owning its source). Lifecycle of a
 // query inside the scheduler:
 //
-//   submit ─▶ [bounded admission queue] ─▶ dispatcher thread forms a
-//   micro-batch ─▶ executor pool runs run_ssppr_batch over pooled states
+//   submit ─▶ [bounded admission queue] ─▶ a free executor takes up to
+//   max_batch_size queued queries ─▶ run_ssppr_batch over pooled states
 //   ─▶ per-query futures complete.
 //
 // * Admission is non-blocking with explicit backpressure: when the queue
 //   already holds `max_queue` queries, try_enqueue refuses and the caller
 //   resolves the future as REJECTED — the service never blocks a client
 //   on a saturated machine.
-// * The dispatcher implements the classic inference-serving tradeoff: a
-//   batch goes out when `max_batch_size` queries have accumulated OR
-//   `max_batch_delay_us` has elapsed since the OLDEST enqueued query,
-//   whichever comes first — small batches under light load (latency),
-//   full batches under heavy load (throughput, since run_ssppr_batch
-//   coalesces the batch's remote fetches per shard per round).
-// * Deadlines: every wake-up sweeps queued queries whose deadline passed
-//   and resolves them TIMED_OUT without executing them (their would-be
-//   states go unallocated, so an expired query costs nothing downstream).
-//   The dispatcher's sleep is capped by the earliest queued deadline, so
-//   a timeout fires on time even with no further arrivals.
-// * Execution runs on a bounded ThreadPool via try_submit: when
-//   `max_pending_batches` batches are already queued behind the
-//   executors, the dispatcher waits for a slot instead of growing the
-//   executor queue — backpressure then propagates to the admission queue
-//   and from there to submit() rejections.
+// * Executors pull their own batches (work-conserving batching): each of
+//   the `executors_per_machine` threads, whenever it is free, takes up to
+//   `max_batch_size` queued queries and runs them as one batch. Batches
+//   therefore come from backlog: queries that arrive while every executor
+//   is busy become the next batch, so batches grow with load (and
+//   run_ssppr_batch coalesces their remote fetches per shard per round),
+//   while at light load a query starts the moment it is admitted.
+// * Holding is opt-in: with `max_batch_delay_us` > 0 an idle executor
+//   holds a partial batch until `max_batch_size` queries are queued or
+//   the delay has passed since the OLDEST queued query, whichever comes
+//   first. The default (0) never holds.
+// * Deadlines: every executor wake-up sweeps queued queries whose
+//   deadline passed and resolves them TIMED_OUT without executing them
+//   (their would-be states go unallocated, so an expired query costs
+//   nothing downstream). Idle waits are capped by the earliest queued
+//   deadline, so a timeout fires on time even while paused or with no
+//   further arrivals; behind busy executors it fires when one frees.
+// * Shutdown flushes: the destructor wakes every executor, which keep
+//   taking batches of at most `max_batch_size` until the queue is empty,
+//   so every admitted query's promise resolves.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "common/thread_pool.hpp"
 #include "engine/state_pool.hpp"
 #include "serve/service_types.hpp"
 #include "serve/stats.hpp"
@@ -60,8 +63,8 @@ class MachineScheduler {
   bool try_enqueue(PendingQuery&& q);
 
   /// Suspend batch formation. Per-query deadlines still fire while
-  /// paused: the dispatcher keeps sweeping expired queries and resolving
-  /// them TIMED_OUT, it just dispatches no batches until resume().
+  /// paused: the executors keep sweeping expired queries and resolving
+  /// them TIMED_OUT, they just take no batches until resume().
   void pause();
   void resume();
 
@@ -74,34 +77,33 @@ class MachineScheduler {
  private:
   using Clock = std::chrono::steady_clock;
 
-  void dispatcher_loop();
-  /// Resolve every queued query whose deadline has passed (caller holds
-  /// `mutex_`); promises complete outside the lock via the returned list.
+  void executor_loop();
+  /// Flush the queue and join every executor (shutdown).
+  void stop_executors();
+  /// Move every queued query whose deadline has passed into `expired`
+  /// (caller holds `mutex_`); their promises complete outside the lock.
   void sweep_expired_locked(std::vector<PendingQuery>& expired);
-  void execute_batch(std::vector<PendingQuery> batch, Clock::time_point oldest,
-                     Clock::time_point dispatch_time);
+  void execute_batch(std::vector<PendingQuery> batch,
+                     Clock::time_point start);
   void finish_batch();
 
   const DistGraphStorage& storage_;
   const ServeOptions& options_;
   ServiceStats& stats_;
   SspprStatePool pool_;
+  const Clock::duration hold_;  // max_batch_delay_us
 
   std::mutex mutex_;
-  std::condition_variable work_cv_;   // dispatcher wake-ups
-  std::condition_variable idle_cv_;   // drain() / executor-slot waits
+  std::condition_variable work_cv_;  // executor wake-ups
+  std::condition_variable idle_cv_;  // drain() waits
   std::deque<PendingQuery> queue_;
   int inflight_batches_ = 0;
   bool paused_ = false;
   bool stop_ = false;
 
-  // Declared after every member its queued batches touch: ~ThreadPool
-  // runs still-queued batches, and execute_batch/finish_batch use pool_,
-  // stats_, mutex_ and idle_cv_ — so executors_ must be destroyed first,
-  // while those are still alive.
-  ThreadPool executors_;
-
-  std::thread dispatcher_;
+  // Started last and joined in the destructor body, while every member
+  // the executors touch is still alive.
+  std::vector<std::thread> executors_;
 };
 
 }  // namespace ppr::serve

@@ -4,7 +4,8 @@
 // offline batches, this service forms batches from an ARRIVING query
 // stream: submit() routes each query to the machine owning its source
 // (owner-compute rule), a per-machine MachineScheduler admits it into a
-// bounded queue and micro-batches it adaptively into run_ssppr_batch, and
+// bounded queue, and a free executor takes the queued backlog as one
+// run_ssppr_batch micro-batch (see scheduler.hpp), and
 // the caller gets a typed future that resolves to OK (with the PPR
 // entries), REJECTED (admission queue full — explicit backpressure), or
 // TIMED_OUT (deadline expired before execution). ServiceStats aggregates
@@ -40,7 +41,7 @@ class QueryService {
   QueryFuture submit(NodeRef source, double deadline_us = -1);
 
   /// Pause/resume batch formation on every machine (queues keep
-  /// admitting; nothing dispatches while paused).
+  /// admitting; no executor takes a batch while paused).
   void pause();
   void resume();
 

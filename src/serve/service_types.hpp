@@ -43,7 +43,7 @@ struct QueryResult {
   std::size_t num_pushes = 0;
   /// Size of the micro-batch this query executed in (0 if never executed).
   std::size_t batch_size = 0;
-  double queue_wait_us = 0;  // admission to batch dispatch
+  double queue_wait_us = 0;  // admission to executor start
   double execute_us = 0;     // wall time of the serving run_ssppr_batch
   double e2e_us = 0;         // admission to future completion
 };
@@ -51,7 +51,7 @@ struct QueryResult {
 using QueryFuture = Future<QueryResult>;
 using QueryPromise = Promise<QueryResult>;
 
-/// A query admitted into a machine's queue, awaiting dispatch.
+/// A query admitted into a machine's queue, awaiting an executor.
 struct PendingQuery {
   NodeRef source{};
   QueryPromise promise;
@@ -76,23 +76,23 @@ struct ServeOptions {
   /// Admission-queue bound per machine; a submit() beyond it is REJECTED
   /// immediately (explicit backpressure, never an unbounded block).
   std::size_t max_queue = 256;
-  /// Dispatch a batch once this many queries accumulated...
+  /// Largest batch a free executor takes from the queue at once.
   std::size_t max_batch_size = 16;
-  /// ...or once this much time passed since the oldest enqueued query,
-  /// whichever comes first.
-  double max_batch_delay_us = 2000;
+  /// Opt-in hold: when > 0, an idle executor holds a partial batch until
+  /// max_batch_size queries are queued or this much time has passed since
+  /// the oldest queued query, whichever comes first. 0 = never hold: a
+  /// free executor takes whatever is queued at once, so batches form only
+  /// from the backlog that builds up while every executor is busy.
+  double max_batch_delay_us = 0;
   /// Default per-query deadline measured from submit(); 0 = none. A query
-  /// whose deadline passes before its batch dispatches resolves TIMED_OUT
+  /// whose deadline passes before an executor takes it resolves TIMED_OUT
   /// without executing.
   double default_deadline_us = 0;
-  /// Batch-execution threads per machine (batch k+1 can form while batch
-  /// k executes when > 1).
+  /// Executor threads per machine; each takes and runs its own batches
+  /// (batch k+1 runs beside batch k when > 1).
   int executors_per_machine = 1;
-  /// Batches allowed to queue behind busy executors before the dispatcher
-  /// holds off forming more (ThreadPool::try_submit bound).
-  std::size_t max_pending_batches = 2;
-  /// Start with dispatchers paused (tests use this to stage deterministic
-  /// queue states); resume() starts serving.
+  /// Start with batch formation paused (tests use this to stage
+  /// deterministic queue states); resume() starts serving.
   bool start_paused = false;
   /// Copy each query's PPR entries into its QueryResult. Off = callers
   /// only get status + latency metadata (pure SLO benchmarking).

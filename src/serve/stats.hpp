@@ -8,12 +8,13 @@
 // tests report.
 //
 // Latency stages per query (all microseconds):
-//   queue_wait — submit() accept to batch dispatch;
+//   queue_wait — submit() accept to the start of its batch on an executor
+//                (includes any time spent waiting for a free executor);
 //   execute    — wall time of the run_ssppr_batch call that served the
 //                query (shared by every query of the batch);
 //   e2e        — submit() accept to future completion.
-// Per batch: batch_form — dispatch minus the OLDEST member's enqueue time
-// (how long the scheduler held the batch open; bounded by max_batch_delay).
+// Per batch: batch_form — executor start minus the OLDEST member's enqueue
+// time (how long the batch's first query waited for it to start).
 #pragma once
 
 #include <cstdint>

@@ -216,38 +216,6 @@ TEST(ThreadPool, PropagatesExceptions) {
   EXPECT_THROW(f.get(), std::runtime_error);
 }
 
-TEST(ThreadPool, TrySubmitRejectsWhenQueueFull) {
-  ThreadPool pool(1, /*max_queued=*/2);
-  // Park the single worker so queued tasks pile up deterministically.
-  std::mutex gate;
-  gate.lock();
-  auto blocker = pool.submit([&gate] { std::lock_guard<std::mutex> l(gate); });
-  // Give the worker a moment to pick the blocker up (it may briefly count
-  // as queued otherwise and eat one slot).
-  while (pool.queued() > 0) std::this_thread::yield();
-
-  auto a = pool.try_submit([] { return 1; });
-  auto b = pool.try_submit([] { return 2; });
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(pool.queued(), 2u);
-  // Queue is at max_queued: the bounded path refuses, non-blocking.
-  auto c = pool.try_submit([] { return 3; });
-  EXPECT_FALSE(c.has_value());
-  // Unbounded submit still accepts (only try_submit honors the bound).
-  auto d = pool.submit([] { return 4; });
-
-  gate.unlock();
-  blocker.get();
-  EXPECT_EQ(a->get(), 1);
-  EXPECT_EQ(b->get(), 2);
-  EXPECT_EQ(d.get(), 4);
-  // Capacity freed: try_submit works again.
-  auto e = pool.try_submit([] { return 5; });
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->get(), 5);
-}
-
 TEST(Histogram, BucketsAreContiguousAndMonotonic) {
   // Every value maps into a bucket whose [lower, upper) range contains it.
   for (std::uint64_t v = 0; v < 100000; v = v < 512 ? v + 1 : v * 17 / 16) {

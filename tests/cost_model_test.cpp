@@ -94,13 +94,27 @@ TEST(NetworkModelDelay, SlowsCrossMachineMessagesOnly) {
   ep0.register_service("echo", echo);
   ep1.register_service("echo", echo);
 
-  WallTimer self_timer;
+  // One untimed call on each path first, so neither timed call pays
+  // first-use costs (server-pool thread wake-up, lazily built state).
   (void)ep0.sync_call(0, "echo", "m", {1});
-  const double self_time = self_timer.seconds();
-
-  WallTimer cross_timer;
   (void)ep0.sync_call(1, "echo", "m", {1});
-  const double cross_time = cross_timer.seconds();
+
+  // Each path's time is the fastest of a few calls: a single wall-clock
+  // sample also carries whatever scheduling stall the host adds (under a
+  // parallel sanitizer ctest one self call took 5.9 ms), while the
+  // model's sleeps are a floor that every cross call pays.
+  const auto fastest_call = [&ep0](int dst) {
+    double best = 0;
+    for (int i = 0; i < 3; ++i) {
+      WallTimer timer;
+      (void)ep0.sync_call(dst, "echo", "m", {1});
+      const double t = timer.seconds();
+      if (i == 0 || t < best) best = t;
+    }
+    return best;
+  };
+  const double self_time = fastest_call(0);
+  const double cross_time = fastest_call(1);
 
   // Cross-machine pays 2 x 2ms (request + response); self pays neither.
   EXPECT_GT(cross_time, 3.5e-3);

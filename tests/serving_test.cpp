@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/timer.hpp"
 #include "engine/ssppr_driver.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
@@ -274,6 +275,121 @@ TEST_F(ServingFixture, ShutdownFlushesPendingQueries) {
   for (auto& f : futures) {
     EXPECT_EQ(f.wait().status, QueryStatus::kOk);
   }
+}
+
+// Shutdown flushes in batches of at most max_batch_size, never one
+// oversized batch: 40 queued queries on one machine, cap 16.
+TEST_F(ServingFixture, ShutdownFlushRespectsMaxBatchSize) {
+  std::vector<QueryFuture> futures;
+  {
+    ServeOptions o = base_options();
+    o.start_paused = true;
+    o.max_batch_size = 16;
+    QueryService service(*cluster_, o);
+    const auto shard0 = static_cast<ShardId>(0);
+    const NodeId core = cluster_->shard(0).num_core_nodes();
+    for (NodeId i = 0; i < 40; ++i) {
+      futures.push_back(service.submit(NodeRef{(i * 7) % core, shard0}));
+    }
+  }  // destructor flushes while still paused
+  for (auto& f : futures) {
+    const QueryResult r = f.wait();
+    EXPECT_EQ(r.status, QueryStatus::kOk);
+    EXPECT_GE(r.batch_size, 1u);
+    EXPECT_LE(r.batch_size, 16u);
+  }
+}
+
+// Work-conserving batching under a slow network: one executor, no hold.
+// Every round of a batch pays two injected message latencies, so the
+// first batch is still running when the next queries arrive; they wait
+// in the queue and the executor takes all of them as ONE batch when it
+// frees (forming a batch at each arrival would have split them).
+class SlowNetworkServing : public ServingFixture {
+ protected:
+  static constexpr double kLatencyUs = 3000;
+
+  void SetUp() override {
+    ServingFixture::SetUp();
+    slow_ = std::make_unique<Cluster>(
+        graph_, assignment_,
+        ClusterOptions{.num_machines = 4,
+                       .network = NetworkModel{kLatencyUs, 0.0}});
+  }
+
+  ServeOptions slow_options() const {
+    ServeOptions o = base_options();
+    o.ppr.epsilon = 1e-4;  // few rounds: each costs >= 2 x kLatencyUs
+    o.executors_per_machine = 1;
+    o.max_batch_delay_us = 0;
+    return o;
+  }
+
+  /// Submit one query to machine 0 and return once an executor has taken
+  /// it (its batch is then running and machine 0's queue is empty).
+  static QueryFuture start_long_batch(QueryService& service) {
+    QueryFuture f = service.submit(NodeRef{0, static_cast<ShardId>(0)});
+    while (service.stats().batches < 1) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+    return f;
+  }
+
+  std::unique_ptr<Cluster> slow_;
+};
+
+TEST_F(SlowNetworkServing, QueriesArrivingWhileBusyFormOneBatch) {
+  QueryService service(*slow_, slow_options());
+  QueryFuture first = start_long_batch(service);
+
+  // Spaced arrivals: a batch formed at each arrival would hold one
+  // query, since the next one comes in only after it formed.
+  constexpr std::size_t k = 5;
+  const NodeId core = slow_->shard(0).num_core_nodes();
+  std::vector<QueryFuture> futures;
+  WallTimer submits;
+  for (std::size_t i = 1; i <= k; ++i) {
+    futures.push_back(service.submit(
+        NodeRef{static_cast<NodeId>(i * 11) % core, static_cast<ShardId>(0)}));
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+  }
+  const double submit_us = submits.micros();
+  const QueryResult r0 = first.wait();
+  ASSERT_EQ(r0.status, QueryStatus::kOk);
+  EXPECT_EQ(r0.batch_size, 1u);
+  ASSERT_GE(r0.execute_us, 2 * submit_us)
+      << "the first batch must still run while the others arrive";
+  for (auto& f : futures) {
+    const QueryResult r = f.wait();
+    EXPECT_EQ(r.status, QueryStatus::kOk);
+    EXPECT_EQ(r.batch_size, k);
+  }
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.completed, k + 1);
+}
+
+// A short-deadline query queued behind a running batch times out when the
+// executor frees, without executing and without leasing a pooled state.
+TEST_F(SlowNetworkServing, DeadlineBehindBusyExecutorTimesOut) {
+  QueryService service(*slow_, slow_options());
+  QueryFuture first = start_long_batch(service);
+
+  QueryFuture doomed = service.submit(NodeRef{1, static_cast<ShardId>(0)},
+                                      /*deadline_us=*/1000);
+  const QueryResult r0 = first.wait();
+  ASSERT_EQ(r0.status, QueryStatus::kOk);
+  ASSERT_GE(r0.execute_us, 2 * kLatencyUs)
+      << "the first batch must outlast the 1 ms deadline";
+  const QueryResult r = doomed.wait();
+  EXPECT_EQ(r.status, QueryStatus::kTimedOut);
+  EXPECT_TRUE(r.ppr.empty());
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.timed_out, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.states_created, 1u)
+      << "only the running query may have leased a state";
 }
 
 // A served query's spans form the chain the trace viewer shows: a

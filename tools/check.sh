@@ -53,6 +53,11 @@ for SANITIZER in "${SANITIZERS[@]}"; do
       # threads; run it alone so TSan checks that interleaving by itself.
       echo "=== ${SANITIZER}: batch_driver_test (pushes overlap RPCs) ==="
       "${BUILD}/tests/batch_driver_test" --gtest_brief=1
+      # Serving scheduler: N executor threads take batches from one
+      # admission queue under one mutex, race deadline sweeps and drain(),
+      # and hand the queue's remainder off at shutdown; run it alone.
+      echo "=== ${SANITIZER}: serving_test (executors pull batches) ==="
+      "${BUILD}/tests/serving_test" --gtest_brief=1
       # Versioned storage plane: run the concurrent mutate+query case
       # alone under TSan — a mutator thread lands batches and compacts
       # mid-stream while pinned snapshot reads race the generation swaps
